@@ -26,7 +26,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import units
 from ..api import Session
@@ -463,13 +463,12 @@ def _peak_rss_kb() -> Optional[int]:
     return int(value)
 
 
-def run_artifact(name: str) -> Dict[str, object]:
-    """Run one artifact's campaign in a fresh session; return its record."""
+def _timed_run(name: str, session: Session, **runner_options) -> Dict[str, object]:
+    """Run one artifact's campaign through ``session``; time and digest it."""
     title, factory = ARTIFACTS[name]
-    session = Session()
     started = time.perf_counter()
     campaign = factory()
-    results = CampaignRunner(session).run(campaign)
+    results = CampaignRunner(session, **runner_options).run(campaign)
     rows = export_rows(campaign.exporter, results)
     wall = time.perf_counter() - started
     events = sum(
@@ -483,502 +482,233 @@ def run_artifact(name: str) -> Dict[str, object]:
         "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
         "rows": len(rows),
         "digest": digest_rows(rows),
-        "peak_rss_kb": _peak_rss_kb(),
     }
 
 
-def _run_artifact_stored(name: str, record: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, with or without tracing.
-
-    Both sides of the record-overhead comparison go through identical
-    store-attached sessions, so the measured delta is the tracing itself
-    (taps + gzip trace writes), not the JSON result persistence.
-    """
-    import shutil
-    import tempfile
-
-    from ..api.store import ResultStore
-
-    title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(prefix="bench-%s-" % ("record" if record else "plain"))
-    try:
-        store = ResultStore(tmpdir)
-        session = Session(store=store, record=record)
-        started = time.perf_counter()
-        campaign = factory()
-        results = CampaignRunner(session).run(campaign)
-        rows = export_rows(campaign.exporter, results)
-        wall = time.perf_counter() - started
-        events = sum(
-            run.extras.get("events_processed", 0.0)
-            for run in session._run_cache.values()
-        )
-        traces = store.trace_paths()
-        trace_bytes = sum(path.stat().st_size for path in traces)
-        return {
-            "title": title,
-            "wall_s": round(wall, 4),
-            "events": int(events),
-            "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-            "rows": len(rows),
-            "digest": digest_rows(rows),
-            "peak_rss_kb": _peak_rss_kb(),
-            "traces": len(traces),
-            "trace_bytes": trace_bytes,
-        }
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+def run_artifact(name: str) -> Dict[str, object]:
+    """Run one artifact's campaign in a fresh session; return its record."""
+    record = _timed_run(name, Session())
+    record["peak_rss_kb"] = _peak_rss_kb()
+    return record
 
 
-def run_record_comparison(
-    names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Measure record-mode overhead: each artifact run with tracing off and on.
-
-    Runs are interleaved with alternating order (off/on, then on/off) and
-    each side keeps its best wall time, so CPU-frequency and cache-warmth
-    noise — easily 10% on sub-second artifacts — and progressive host
-    throttling do not masquerade as (or hide) recording overhead.  The
-    returned report carries, per artifact, the record-off and record-on
-    measurements, the relative wall-clock overhead, and the trace sizes; the
-    top-level ``digest`` per artifact is the record-off digest, so the
-    standard :func:`check_digests` baseline comparison applies unchanged.
-    A ``digest_match`` flag asserts the record-on run produced bit-identical
-    results (recording must never perturb the simulation).
-    """
-    if names is None:
-        names = QUICK_ARTIFACTS if quick else tuple(ARTIFACTS)
-    unknown = [name for name in names if name not in ARTIFACTS]
-    if unknown:
-        raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    artifacts: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        off = on = None
-        for repeat in range(max(1, repeats)):
-            if repeat % 2 == 0:
-                off_run = _run_artifact_stored(name, record=False)
-                on_run = _run_artifact_stored(name, record=True)
-            else:
-                on_run = _run_artifact_stored(name, record=True)
-                off_run = _run_artifact_stored(name, record=False)
-            if off is None or off_run["wall_s"] < off["wall_s"]:
-                off = off_run
-            if on is None or on_run["wall_s"] < on["wall_s"]:
-                on = on_run
-        overhead = (
-            round((on["wall_s"] - off["wall_s"]) / off["wall_s"] * 100.0, 1)
-            if off["wall_s"]
-            else None
-        )
-        artifacts[name] = {
-            "title": off["title"],
-            "digest": off["digest"],
-            "digest_match": off["digest"] == on["digest"],
-            "off": {key: off[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "on": {key: on[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "overhead_pct": overhead,
-            "traces": on["traces"],
-            "trace_bytes": on["trace_bytes"],
-        }
-    off_wall = sum(record["off"]["wall_s"] for record in artifacts.values())
-    on_wall = sum(record["on"]["wall_s"] for record in artifacts.values())
-    return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "record-compare",
-        "cpus": os.cpu_count(),
-        "quick": quick,
-        "artifacts": artifacts,
-        "total": {
-            "off_wall_s": round(off_wall, 4),
-            "on_wall_s": round(on_wall, 4),
-            "overhead_pct": (
-                round((on_wall - off_wall) / off_wall * 100.0, 1) if off_wall else None
-            ),
-            "trace_bytes": sum(record["trace_bytes"] for record in artifacts.values()),
-        },
-    }
+# -- paired A/B comparisons -----------------------------------------------------------
 
 
-def format_record_report(report: Dict[str, object]) -> str:
-    """Render a record-overhead comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %10s %8s %12s %6s" % (
-        "artifact", "off_s", "on_s", "overhead", "traces", "trace_bytes", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, record in report.get("artifacts", {}).items():
-        lines.append(
-            "%-24s %10.3f %10.3f %9.1f%% %8d %12d %6s"
-            % (
-                name,
-                record["off"]["wall_s"],
-                record["on"]["wall_s"],
-                record["overhead_pct"] if record["overhead_pct"] is not None else 0.0,
-                record["traces"],
-                record["trace_bytes"],
-                "yes" if record["digest_match"] else "NO",
-            )
-        )
-    total = report.get("total", {})
-    lines.append("-" * len(header))
-    lines.append(
-        "%-24s %10.3f %10.3f %9.1f%% %8s %12d %6s"
-        % (
-            "TOTAL",
-            total.get("off_wall_s", 0.0),
-            total.get("on_wall_s", 0.0),
-            total.get("overhead_pct") or 0.0,
-            "-",
-            total.get("trace_bytes", 0),
-            "",
-        )
-    )
-    return "\n".join(lines)
+class Treatment(NamedTuple):
+    """One mechanism ``bench --compare`` switches on for the "on" side."""
+
+    #: ``"session"`` or ``"runner"``: which constructor takes ``option``.
+    target: str
+    #: Keyword argument the "on" side sets (the "off" side leaves it unset).
+    option: str
+    #: Default artifacts, in full and in ``--quick`` mode.
+    artifacts: Tuple[str, ...]
+    quick_artifacts: Tuple[str, ...]
+    #: Default report file.
+    report: str
+    #: Side-record counts shown in the text table.
+    counts: Tuple[str, ...]
 
 
-def _run_artifact_telemetered(name: str, telemetry: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, with or without a bus.
-
-    The telemetry side attaches a real :class:`~repro.telemetry.EventBus`
-    *with a live subscriber* — the worst case the tap sites can see: every
-    in-sim record is observed, with dense topics batching into events (so
-    ``bus_events`` counts published events, not records).  Both sides go
-    through identical store-attached sessions so the measured delta is
-    the telemetry itself, not result persistence.
-    """
-    import shutil
-    import tempfile
-
-    from ..api.store import ResultStore
-
-    title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(
-        prefix="bench-%s-" % ("telemetry" if telemetry else "plain")
-    )
-    try:
-        store = ResultStore(tmpdir)
-        bus = subscription = None
-        if telemetry:
-            from ..telemetry import EventBus
-
-            bus = EventBus()
-            subscription = bus.subscribe()
-        session = Session(store=store, telemetry=bus)
-        started = time.perf_counter()
-        campaign = factory()
-        results = CampaignRunner(session).run(campaign)
-        rows = export_rows(campaign.exporter, results)
-        wall = time.perf_counter() - started
-        events = sum(
-            run.extras.get("events_processed", 0.0)
-            for run in session._run_cache.values()
-        )
-        bus_events = dropped = 0
-        if subscription is not None:
-            bus_events = subscription.delivered
-            dropped = subscription.dropped
-            subscription.close()
-        return {
-            "title": title,
-            "wall_s": round(wall, 4),
-            "events": int(events),
-            "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-            "rows": len(rows),
-            "digest": digest_rows(rows),
-            "peak_rss_kb": _peak_rss_kb(),
-            "bus_events": bus_events,
-            "bus_dropped": dropped,
-        }
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def run_telemetry_comparison(
-    names: Optional[Sequence[str]] = None,
-    quick: bool = False,
-    repeats: int = 5,
-) -> Dict[str, object]:
-    """Measure live-telemetry overhead: each artifact with the bus off and on.
-
-    Methodology: for every artifact, each repeat runs the bus-off and
-    bus-on sides back to back (alternating order), so the two walls of a
-    pair share the host's load conditions.  The overhead estimate is the
-    **median of paired on/off ratios** — per artifact over its own pairs,
-    and for the total over per-pass wall sums across all artifacts.  On a
-    noisy host this is the difference between measuring the bus and
-    measuring the scheduler: independent best-of-N walls drift apart by
-    whatever jitter hit each side's quietest moment, while adjacent pairs
-    cancel it.  The reported ``wall_s`` values are still the best per side
-    (comparable to the other bench modes); ``overhead_pct`` comes from the
-    paired ratios.  The per-artifact ``digest`` is the bus-off digest, so
-    :func:`check_digests` applies unchanged, and ``digest_match`` asserts
-    the bus-attached run produced bit-identical rows: telemetry must never
-    perturb the simulation.
-    """
-    if names is None:
-        names = QUICK_ARTIFACTS if quick else tuple(ARTIFACTS)
-    unknown = [name for name in names if name not in ARTIFACTS]
-    if unknown:
-        raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
-    repeats = max(1, repeats)
-    artifacts: Dict[str, Dict[str, object]] = {}
-    pass_walls: List[Dict[str, float]] = [
-        {"off": 0.0, "on": 0.0} for _ in range(repeats)
-    ]
-    for name in names:
-        off = on = None
-        ratios: List[float] = []
-        for repeat in range(repeats):
-            if repeat % 2 == 0:
-                off_run = _run_artifact_telemetered(name, telemetry=False)
-                on_run = _run_artifact_telemetered(name, telemetry=True)
-            else:
-                on_run = _run_artifact_telemetered(name, telemetry=True)
-                off_run = _run_artifact_telemetered(name, telemetry=False)
-            if off_run["wall_s"]:
-                ratios.append(on_run["wall_s"] / off_run["wall_s"])
-            pass_walls[repeat]["off"] += off_run["wall_s"]
-            pass_walls[repeat]["on"] += on_run["wall_s"]
-            if off is None or off_run["wall_s"] < off["wall_s"]:
-                off = off_run
-            if on is None or on_run["wall_s"] < on["wall_s"]:
-                on = on_run
-        overhead = (
-            round((statistics.median(ratios) - 1.0) * 100.0, 1) if ratios else None
-        )
-        artifacts[name] = {
-            "title": off["title"],
-            "digest": off["digest"],
-            "digest_match": off["digest"] == on["digest"],
-            "off": {key: off[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "on": {key: on[key] for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")},
-            "overhead_pct": overhead,
-            "pair_ratios": [round(ratio, 4) for ratio in ratios],
-            "bus_events": on["bus_events"],
-            "bus_dropped": on["bus_dropped"],
-        }
-    off_wall = sum(record["off"]["wall_s"] for record in artifacts.values())
-    on_wall = sum(record["on"]["wall_s"] for record in artifacts.values())
-    pass_ratios = [
-        walls["on"] / walls["off"] for walls in pass_walls if walls["off"]
-    ]
-    return {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "telemetry-compare",
-        "cpus": os.cpu_count(),
-        "quick": quick,
-        "repeats": repeats,
-        "artifacts": artifacts,
-        "total": {
-            "off_wall_s": round(off_wall, 4),
-            "on_wall_s": round(on_wall, 4),
-            "overhead_pct": (
-                round((statistics.median(pass_ratios) - 1.0) * 100.0, 1)
-                if pass_ratios
-                else None
-            ),
-            "pass_ratios": [round(ratio, 4) for ratio in pass_ratios],
-            "bus_events": sum(record["bus_events"] for record in artifacts.values()),
-        },
-    }
-
-
-def format_telemetry_report(report: Dict[str, object]) -> str:
-    """Render a telemetry-overhead comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %10s %12s %8s %6s" % (
-        "artifact", "off_s", "on_s", "overhead", "bus_events", "dropped", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, record in report.get("artifacts", {}).items():
-        lines.append(
-            "%-24s %10.3f %10.3f %9.1f%% %12d %8d %6s"
-            % (
-                name,
-                record["off"]["wall_s"],
-                record["on"]["wall_s"],
-                record["overhead_pct"] if record["overhead_pct"] is not None else 0.0,
-                record["bus_events"],
-                record["bus_dropped"],
-                "yes" if record["digest_match"] else "NO",
-            )
-        )
-    total = report.get("total", {})
-    lines.append("-" * len(header))
-    lines.append(
-        "%-24s %10.3f %10.3f %9.1f%% %12d %8s %6s"
-        % (
-            "TOTAL",
-            total.get("off_wall_s", 0.0),
-            total.get("on_wall_s", 0.0),
-            total.get("overhead_pct") or 0.0,
-            total.get("bus_events", 0),
-            "-",
-            "",
-        )
-    )
-    return "\n".join(lines)
-
-
-#: Artifacts measured by ``bench --fork-compare`` when none are named: the
-#: campaign families whose points share a baseline prefix.  The delayed
-#: sweep is the shape prefix forking targets; the others bound its cost on
-#: immediate-onset campaigns (forking falls back to full runs there).
+#: The fork treatment measures the campaign families whose points share a
+#: baseline prefix.  The delayed sweep is the shape prefix forking targets;
+#: the others bound its cost on immediate-onset campaigns (forking falls back
+#: to full runs there).
 FORK_ARTIFACTS: Tuple[str, ...] = (
     "delayed_attack_sweep",
     "fig3_pipe_stoppage",
     "combined_attack",
 )
 
+TREATMENTS: Dict[str, Treatment] = {
+    "record": Treatment(
+        "session", "record", tuple(ARTIFACTS), QUICK_ARTIFACTS,
+        "BENCH_PR6.json", ("traces", "trace_bytes"),
+    ),
+    "telemetry": Treatment(
+        "session", "telemetry", tuple(ARTIFACTS), QUICK_ARTIFACTS,
+        "BENCH_PR10.json", ("bus_events", "bus_dropped"),
+    ),
+    "fork": Treatment(
+        "runner", "fork_prefixes", FORK_ARTIFACTS, FORK_ARTIFACTS[:1],
+        "BENCH_PR9.json", ("checkpoints",),
+    ),
+}
 
-def _run_artifact_forked(name: str, fork: bool) -> Dict[str, object]:
-    """Run one artifact against a throwaway store, forked or fully.
+#: Interleaved off/on pairs per artifact.
+DEFAULT_REPEATS = 5
 
-    Both sides go through identical store-attached sessions so the measured
-    delta is the prefix reuse itself, not result persistence.
+
+def _run_side(name: str, treatment: str, on: bool) -> Dict[str, object]:
+    """Run one artifact against a throwaway store with ``treatment`` off or on.
+
+    Both sides go through identical store-attached sessions, so the measured
+    delta is the treatment itself, not result persistence.  The telemetry
+    "on" side attaches a real :class:`~repro.telemetry.EventBus` *with a
+    live subscriber* — the worst case the tap sites can see — and its
+    record adds the subscriber's ``bus_events`` (published events, not
+    in-sim records: dense topics batch) and ``bus_dropped``.
     """
     import shutil
     import tempfile
 
     from ..api.store import ResultStore
 
-    title, factory = ARTIFACTS[name]
-    tmpdir = tempfile.mkdtemp(prefix="bench-%s-" % ("fork" if fork else "full"))
+    spec = TREATMENTS[treatment]
+    options: Dict[str, object] = {}
+    subscription = None
+    if on:
+        options[spec.option] = True
+        if spec.option == "telemetry":
+            from ..telemetry import EventBus
+
+            options[spec.option] = bus = EventBus()
+            subscription = bus.subscribe()
+    session_options = options if spec.target == "session" else {}
+    runner_options = options if spec.target == "runner" else {}
+    tmpdir = tempfile.mkdtemp(prefix="bench-%s-%s-" % (treatment, "on" if on else "off"))
     try:
         store = ResultStore(tmpdir)
-        session = Session(store=store)
-        started = time.perf_counter()
-        campaign = factory()
-        results = CampaignRunner(session, fork_prefixes=fork).run(campaign)
-        rows = export_rows(campaign.exporter, results)
-        wall = time.perf_counter() - started
-        events = sum(
-            run.extras.get("events_processed", 0.0)
-            for run in session._run_cache.values()
-        )
-        return {
-            "title": title,
-            "wall_s": round(wall, 4),
-            "events": int(events),
-            "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
-            "rows": len(rows),
-            "digest": digest_rows(rows),
-            "peak_rss_kb": _peak_rss_kb(),
-            "checkpoints": len(store.checkpoint_paths()),
-        }
+        record = _timed_run(name, Session(store=store, **session_options), **runner_options)
+        traces = store.trace_paths()
+        record["traces"] = len(traces)
+        record["trace_bytes"] = sum(path.stat().st_size for path in traces)
+        record["checkpoints"] = len(store.checkpoint_paths())
+        if subscription is not None:
+            record["bus_events"] = subscription.delivered
+            record["bus_dropped"] = subscription.dropped
+            subscription.close()
+        return record
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def run_fork_comparison(
+def _overhead_pct(ratios: Sequence[float]) -> Optional[float]:
+    return round((statistics.median(ratios) - 1.0) * 100.0, 1) if ratios else None
+
+
+def run_comparison(
+    treatment: str,
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
-    repeats: int = 3,
+    repeats: int = DEFAULT_REPEATS,
 ) -> Dict[str, object]:
-    """Measure prefix-fork speedup: each artifact run fully and forked.
+    """Measure one mechanism's cost: each artifact with ``treatment`` off and on.
 
-    Runs are interleaved with alternating order (full/forked, then
-    forked/full) and each side keeps its best wall time, exactly like
-    :func:`run_record_comparison`, so host noise does not masquerade as (or
-    hide) the speedup.  The per-artifact ``digest`` is the full-run digest
-    (so :func:`check_digests` applies unchanged) and ``digest_match``
-    asserts the forked run produced bit-identical rows — the parity
-    contract prefix forking must uphold to be usable at all.
+    Methodology: for every artifact, each repeat runs the off and on sides
+    back to back in alternating order (off/on, then on/off), so the two
+    walls of a pair share the host's load conditions.  The overhead
+    estimate is the **median of paired on/off ratios** — per artifact over
+    its own pairs, and for the total over per-pass wall sums across all
+    artifacts.  On a noisy host independent best-of-N walls drift apart by
+    whatever jitter hit each side's quietest moment, while adjacent pairs
+    cancel it.  A negative overhead is a speedup (prefix forking).
+
+    Each side record carries that side's median wall, its event counts and
+    the counts of its last run (``traces``, ``trace_bytes``,
+    ``checkpoints``, and ``bus_events``/``bus_dropped`` when a bus was
+    attached).  Peak RSS is not reported: it is a process-wide high-water
+    mark, so the second side would inherit the first side's peak.  The
+    per-artifact ``digest`` is the off digest, so :func:`check_digests`
+    applies unchanged, and ``digest_match`` asserts that every run of both
+    sides produced bit-identical rows — the treatment must never perturb
+    the simulation.
     """
+    spec = TREATMENTS[treatment]
     if names is None:
-        names = FORK_ARTIFACTS if not quick else FORK_ARTIFACTS[:1]
+        names = spec.quick_artifacts if quick else spec.artifacts
     unknown = [name for name in names if name not in ARTIFACTS]
     if unknown:
         raise ValueError("unknown bench artifacts: %s" % ", ".join(unknown))
+    repeats = max(1, repeats)
     artifacts: Dict[str, Dict[str, object]] = {}
+    pass_walls = [{"off": 0.0, "on": 0.0} for _ in range(repeats)]
     for name in names:
-        full = forked = None
-        for repeat in range(max(1, repeats)):
-            if repeat % 2 == 0:
-                full_run = _run_artifact_forked(name, fork=False)
-                fork_run = _run_artifact_forked(name, fork=True)
-            else:
-                fork_run = _run_artifact_forked(name, fork=True)
-                full_run = _run_artifact_forked(name, fork=False)
-            if full is None or full_run["wall_s"] < full["wall_s"]:
-                full = full_run
-            if forked is None or fork_run["wall_s"] < forked["wall_s"]:
-                forked = fork_run
-        speedup = (
-            round(full["wall_s"] / forked["wall_s"], 2)
-            if forked["wall_s"]
-            else None
-        )
+        runs: Dict[str, List[Dict[str, object]]] = {"off": [], "on": []}
+        for repeat in range(repeats):
+            for side in (("off", "on") if repeat % 2 == 0 else ("on", "off")):
+                run = _run_side(name, treatment, on=side == "on")
+                runs[side].append(run)
+                pass_walls[repeat][side] += run["wall_s"]
+        ratios = [
+            on["wall_s"] / off["wall_s"]
+            for off, on in zip(runs["off"], runs["on"])
+            if off["wall_s"]
+        ]
+        sides = {}
+        for side, side_runs in runs.items():
+            wall = statistics.median(run["wall_s"] for run in side_runs)
+            sides[side] = dict(side_runs[-1], wall_s=round(wall, 4))
+            sides[side]["events_per_s"] = (
+                round(sides[side]["events"] / wall, 1) if wall > 0 else 0.0
+            )
+            for key in ("title", "digest", "rows"):
+                del sides[side][key]
+        digest = runs["off"][0]["digest"]
         artifacts[name] = {
-            "title": full["title"],
-            "digest": full["digest"],
-            "digest_match": full["digest"] == forked["digest"],
-            "full": {
-                key: full[key]
-                for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")
-            },
-            "forked": {
-                key: forked[key]
-                for key in ("wall_s", "events", "events_per_s", "peak_rss_kb")
-            },
-            "speedup": speedup,
-            "checkpoints": forked["checkpoints"],
+            "title": runs["off"][0]["title"],
+            "digest": digest,
+            "digest_match": all(
+                run["digest"] == digest for run in runs["off"] + runs["on"]
+            ),
+            "off": sides["off"],
+            "on": sides["on"],
+            "overhead_pct": _overhead_pct(ratios),
+            "pair_ratios": [round(ratio, 4) for ratio in ratios],
         }
-    full_wall = sum(record["full"]["wall_s"] for record in artifacts.values())
-    forked_wall = sum(record["forked"]["wall_s"] for record in artifacts.values())
+    pass_ratios = [walls["on"] / walls["off"] for walls in pass_walls if walls["off"]]
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "nonce_stream_version": NONCE_STREAM_VERSION,
-        "mode": "fork-compare",
+        "treatment": treatment,
         "cpus": os.cpu_count(),
         "quick": quick,
+        "repeats": repeats,
         "artifacts": artifacts,
         "total": {
-            "full_wall_s": round(full_wall, 4),
-            "forked_wall_s": round(forked_wall, 4),
-            "speedup": (
-                round(full_wall / forked_wall, 2) if forked_wall else None
-            ),
+            "off_wall_s": round(sum(r["off"]["wall_s"] for r in artifacts.values()), 4),
+            "on_wall_s": round(sum(r["on"]["wall_s"] for r in artifacts.values()), 4),
+            "overhead_pct": _overhead_pct(pass_ratios),
+            "pass_ratios": [round(ratio, 4) for ratio in pass_ratios],
         },
     }
 
 
-def format_fork_report(report: Dict[str, object]) -> str:
-    """Render a fork-speedup comparison as an aligned text table."""
-    lines = []
-    header = "%-24s %10s %10s %8s %6s %6s" % (
-        "artifact", "full_s", "forked_s", "speedup", "ckpts", "match"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+def format_comparison(report: Dict[str, object]) -> str:
+    """Render a :func:`run_comparison` report as an aligned text table."""
+    counts = TREATMENTS[report["treatment"]].counts
+    header = "%-24s %10s %10s %10s" % ("artifact", "off_s", "on_s", "overhead")
+    header += "".join(" %12s" % key for key in counts) + " %6s" % "match"
+    lines = [header, "-" * len(header)]
+
+    def line(name, off_s, on_s, overhead, cells, match):
+        return (
+            "%-24s %10.3f %10.3f %9.1f%%" % (name, off_s, on_s, overhead or 0.0)
+            + "".join(" %12s" % cell for cell in cells)
+            + " %6s" % match
+        )
+
     for name, record in report.get("artifacts", {}).items():
         lines.append(
-            "%-24s %10.3f %10.3f %7.2fx %6d %6s"
-            % (
+            line(
                 name,
-                record["full"]["wall_s"],
-                record["forked"]["wall_s"],
-                record["speedup"] if record["speedup"] is not None else 0.0,
-                record["checkpoints"],
+                record["off"]["wall_s"],
+                record["on"]["wall_s"],
+                record["overhead_pct"],
+                [record["on"][key] for key in counts],
                 "yes" if record["digest_match"] else "NO",
             )
         )
     total = report.get("total", {})
     lines.append("-" * len(header))
     lines.append(
-        "%-24s %10.3f %10.3f %7.2fx %6s %6s"
-        % (
+        line(
             "TOTAL",
-            total.get("full_wall_s", 0.0),
-            total.get("forked_wall_s", 0.0),
-            total.get("speedup") or 0.0,
-            "-",
+            total.get("off_wall_s", 0.0),
+            total.get("on_wall_s", 0.0),
+            total.get("overhead_pct"),
+            ["-"] * len(counts),
             "",
         )
     )

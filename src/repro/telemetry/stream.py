@@ -8,7 +8,7 @@ window, fault) publish one bus event per record and whose dense taps
 (admission, damage) aggregate into periodic summary events (see
 :data:`DENSE_FLUSH`).  Because the tracer draws no randomness and
 mutates no simulation state, a bus-observed run is digest-identical to
-an unobserved one — the property ``bench --telemetry-compare`` asserts
+an unobserved one — the property ``bench --compare telemetry`` asserts
 for all committed artifacts.
 
 The **network send tap is deliberately left unattached**: ``send`` fires

@@ -5,9 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro import units
-from repro.api import AdversarySpec, Campaign, ResultStore, Scenario
+from repro.api import AdversarySpec, Campaign, ResultStore, Scenario, default_session
 from repro.cli import build_parser, main
-from repro.experiments.runner import clear_baseline_cache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "benchmarks" / "bench_baseline.json"
@@ -15,9 +14,9 @@ BASELINE = REPO_ROOT / "benchmarks" / "bench_baseline.json"
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
-    clear_baseline_cache()
+    default_session().clear_cache()
     yield
-    clear_baseline_cache()
+    default_session().clear_cache()
 
 
 def campaign_file(tmp_path, exporter="attack_sweep"):

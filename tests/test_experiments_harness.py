@@ -4,22 +4,17 @@ import pytest
 
 from repro import units
 from repro.adversary.brute_force import DefectionPoint
+from repro.api import AdversarySpec, Scenario, default_session
 from repro.config import smoke_config
 from repro.experiments import ablation, admission_attack, baseline, effortful, pipe_stoppage
 from repro.experiments.reporting import format_table, format_value, rows_from_dicts
-from repro.experiments.runner import (
-    baseline_runs,
-    clear_baseline_cache,
-    run_attack_experiment,
-    run_many,
-)
 
 
 @pytest.fixture(autouse=True)
 def _clear_cache():
-    clear_baseline_cache()
+    default_session().clear_cache()
     yield
-    clear_baseline_cache()
+    default_session().clear_cache()
 
 
 @pytest.fixture
@@ -30,28 +25,30 @@ def smoke():
 
 
 class TestRunner:
-    def test_run_many_produces_one_result_per_seed(self, smoke):
-        protocol, sim = smoke
-        results = run_many(protocol, sim, seeds=(1, 2))
-        assert len(results) == 2
-
     def test_baseline_cache_reuses_runs(self, smoke):
         protocol, sim = smoke
-        first = baseline_runs(protocol, sim, seeds=(1,))
-        second = baseline_runs(protocol, sim, seeds=(1,))
+        scenario = Scenario.from_configs("baseline", protocol, sim, seeds=(1,))
+        first = default_session().run(scenario).baseline_runs[0]
+        second = default_session().run(scenario).baseline_runs[0]
         assert first is second
-        clear_baseline_cache()
-        third = baseline_runs(protocol, sim, seeds=(1,))
+        default_session().clear_cache()
+        third = default_session().run(scenario).baseline_runs[0]
         assert third is not first
 
-    def test_run_attack_experiment_compares_against_baseline(self, smoke):
+    def test_attacked_scenario_compares_against_baseline(self, smoke):
         protocol, sim = smoke
-        factory = pipe_stoppage.make_pipe_stoppage_factory(
-            attack_duration=units.days(90), coverage=1.0, recuperation=units.days(15)
+        scenario = Scenario.from_configs(
+            "pipe",
+            protocol,
+            sim,
+            adversary=AdversarySpec(
+                "pipe_stoppage",
+                {"attack_duration_days": 90.0, "coverage": 1.0, "recuperation_days": 15.0},
+            ),
+            seeds=(1,),
+            parameters={"coverage": 1.0},
         )
-        result = run_attack_experiment(
-            "pipe", protocol, sim, factory, seeds=(1,), parameters={"coverage": 1.0}
-        )
+        result = default_session().run(scenario)
         assert result.assessment.delay_ratio >= 1.0
         assert result.assessment.cost_ratio is None
         assert result.parameters == {"coverage": 1.0}
